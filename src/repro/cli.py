@@ -51,12 +51,12 @@ Run as ``python -m repro.cli <command>``:
 ``run``, ``sweep`` and ``tables`` additionally accept ``--stats FILE``
 to write the run report(s) of the runs they perform.  ``run``,
 ``sweep``, ``tables``, ``stats`` and ``campaign`` accept ``--jobs N``
-(fan the sweep cells out across N worker processes), ``--cache-dir
-DIR`` (a content-addressed result cache: warm reruns skip simulation
-entirely; see ``docs/parallel-execution.md``), and the campaign
-telemetry flags ``--log FILE`` (JSONL event log), ``--progress`` (force
-the live progress line) and ``--perfetto FILE`` (campaign-wide Chrome
-trace).  ``sweep``, ``tables`` and ``campaign`` additionally accept the
+(fan the sweep cells out across N worker processes, at most one per
+CPU), ``--cache-dir DIR`` (a content-addressed result cache: warm
+reruns skip simulation entirely; see ``docs/parallel-execution.md``),
+and the campaign telemetry flags ``--log FILE`` (JSONL event log),
+``--progress`` (force the live progress line) and ``--perfetto FILE``
+(campaign-wide Chrome trace).  ``sweep``, ``tables`` and ``campaign`` additionally accept the
 durable-execution flags ``--checkpoint JOURNAL`` (crash-safe journaled
 execution; SIGINT/SIGTERM checkpoint and exit 130 with the resume
 command), ``--chaos FILE`` (a host-chaos plan), ``--cell-deadline S``
@@ -126,6 +126,19 @@ def _write_stats(results, path, registry=None) -> None:
     else:
         save_report(build_run_report(results, registry), path)
         print(f"wrote run report to {path}")
+
+
+def _jobs_arg(text: str) -> int:
+    """Parse ``--jobs N``, clamped to the host's CPU count.
+
+    Workers beyond the CPU count add spawn and pickling cost but no
+    throughput, so an over-large N would run slower than serial.
+    """
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return min(jobs, os.cpu_count() or 1) if jobs > 1 else jobs
 
 
 def _parallel_requested(args: argparse.Namespace) -> bool:
@@ -893,10 +906,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parallel_flags(command) -> None:
         command.add_argument(
             "--jobs",
-            type=int,
+            type=_jobs_arg,
             default=1,
             metavar="N",
-            help="worker processes for the sweep cells (1 = in-process)",
+            help=(
+                "worker processes for the sweep cells (1 = in-process; "
+                "clamped to the host's CPU count)"
+            ),
         )
         command.add_argument(
             "--cache-dir",

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.runner import RunResult
-from repro.core.trace_analysis import Interval, IntervalKind, extract_intervals
+from repro.core.trace_analysis import IntervalKind, trace_memo
 from repro.runtime.loops import LoopConstruct
 from repro.xylem.categories import TimeCategory
 
@@ -29,15 +31,8 @@ __all__ = [
     "task_ids",
 ]
 
-_MC_CONSTRUCTS = {LoopConstruct.CLUSTER_ONLY.value, LoopConstruct.CDOACROSS.value}
-
-
-def _intervals(result: RunResult) -> list[Interval]:
-    cached = result._cache.get("intervals")
-    if cached is None:
-        cached = extract_intervals(result.events, end_ns=result.ct_ns)
-        result._cache["intervals"] = cached
-    return cached
+_MC_CONSTRUCTS = (LoopConstruct.CLUSTER_ONLY.value, LoopConstruct.CDOACROSS.value)
+_XDOALL = (LoopConstruct.XDOALL.value,)
 
 
 def task_ids(result: RunResult) -> list[int]:
@@ -173,51 +168,37 @@ def memory_decomposition(result: RunResult) -> MemoryDecomposition:
     )
 
 
+def _in_order_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, the order a Python ``+=`` loop adds in.
+
+    ``np.sum`` adds pairwise, which can round differently; the running
+    sum of ``np.cumsum`` is strictly sequential.
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def user_breakdown(result: RunResult, task_id: int) -> UserTimeBreakdown:
     """Compute the Figure 4 breakdown for one task from the traces."""
-    intervals = _intervals(result)
+    memo = trace_memo(result)
+    durations = memo.durations
     per_cluster = result.config.ces_per_cluster
-    serial = mc = setup = barrier = wait = 0.0
-    iter_sd = iter_xd = pick_sd = pick_xd = 0.0
-    for interval in intervals:
-        if interval.task_id != task_id:
-            continue
-        kind = interval.kind
-        if kind is IntervalKind.SERIAL:
-            serial += interval.duration_ns
-        elif kind is IntervalKind.MC_LOOP:
-            mc += interval.duration_ns
-        elif kind is IntervalKind.SETUP:
-            setup += interval.duration_ns
-        elif kind is IntervalKind.BARRIER:
-            barrier += interval.duration_ns
-        elif kind is IntervalKind.HELPER_WAIT:
-            wait += interval.duration_ns
-        elif kind is IntervalKind.ITERATION:
-            construct = interval.construct
-            if construct in _MC_CONSTRUCTS:
-                continue  # contained in the MC_LOOP interval
-            if construct == LoopConstruct.XDOALL.value:
-                iter_xd += interval.duration_ns / per_cluster
-            else:
-                iter_sd += interval.duration_ns / per_cluster
-        elif kind is IntervalKind.PICKUP:
-            if interval.construct == LoopConstruct.XDOALL.value:
-                pick_xd += interval.duration_ns / per_cluster
-            else:
-                # SDOALL outer pickups happen on the lead CE only: they
-                # are task-level events, not averaged.
-                pick_sd += interval.duration_ns
+    xdoall = memo.construct_mask(_XDOALL)
+    iterations = memo.mask(IntervalKind.ITERATION, task_id)
+    # MC-construct iterations are contained in their MC_LOOP interval.
+    iterations &= ~memo.construct_mask(_MC_CONSTRUCTS)
+    pickups = memo.mask(IntervalKind.PICKUP, task_id)
     return UserTimeBreakdown(
         task_id=task_id,
         wall_ns=result.ct_ns,
-        serial_ns=serial,
-        mc_loop_ns=mc,
-        iter_sdoall_ns=iter_sd,
-        iter_xdoall_ns=iter_xd,
-        setup_ns=setup,
-        pickup_sdoall_ns=pick_sd,
-        pickup_xdoall_ns=pick_xd,
-        barrier_ns=barrier,
-        helper_wait_ns=wait,
+        serial_ns=memo.total_ns(IntervalKind.SERIAL, task_id),
+        mc_loop_ns=memo.total_ns(IntervalKind.MC_LOOP, task_id),
+        iter_sdoall_ns=_in_order_sum(durations[iterations & ~xdoall] / per_cluster),
+        iter_xdoall_ns=_in_order_sum(durations[iterations & xdoall] / per_cluster),
+        setup_ns=memo.total_ns(IntervalKind.SETUP, task_id),
+        # SDOALL outer pickups happen on the lead CE only: they are
+        # task-level events, not averaged.
+        pickup_sdoall_ns=float(durations[pickups & ~xdoall].sum()),
+        pickup_xdoall_ns=_in_order_sum(durations[pickups & xdoall] / per_cluster),
+        barrier_ns=memo.total_ns(IntervalKind.BARRIER, task_id),
+        helper_wait_ns=memo.total_ns(IntervalKind.HELPER_WAIT, task_id),
     )

@@ -16,8 +16,7 @@ for work) is 1 on each cluster.
 from __future__ import annotations
 
 from repro.core.runner import RunResult
-from repro.core.trace_analysis import IntervalKind
-from repro.hpm.events import EventType
+from repro.core.trace_analysis import trace_memo
 
 __all__ = [
     "loop_regions",
@@ -36,44 +35,7 @@ def loop_regions(result: RunResult, task_id: int) -> list[tuple[int, int]]:
     contribute their full interval.  For a helper task a region runs
     from joining the loop to detaching from it.
     """
-    from repro.core.breakdown import _intervals  # shared interval cache
-
-    regions: list[tuple[int, int]] = []
-    if task_id == 0:
-        post_ns: dict[object, int] = {}
-        for event in result.events:
-            if event.task_id != 0:
-                continue
-            if event.event_type == EventType.LOOP_POST:
-                post_ns[_seq(event.payload)] = event.timestamp_ns
-            elif event.event_type == EventType.BARRIER_ENTER:
-                seq = _seq(event.payload)
-                start = post_ns.pop(seq, None)
-                if start is not None:
-                    regions.append((start, event.timestamp_ns))
-        for interval in _intervals(result):
-            if interval.task_id == 0 and interval.kind is IntervalKind.MC_LOOP:
-                regions.append((interval.start_ns, interval.end_ns))
-    else:
-        join_ns: dict[object, int] = {}
-        for event in result.events:
-            if event.task_id != task_id:
-                continue
-            if event.event_type == EventType.HELPER_JOIN:
-                join_ns[_seq(event.payload)] = event.timestamp_ns
-            elif event.event_type == EventType.LOOP_DETACH:
-                seq = _seq(event.payload)
-                start = join_ns.pop(seq, None)
-                if start is not None:
-                    regions.append((start, event.timestamp_ns))
-    regions.sort()
-    return regions
-
-
-def _seq(payload: object) -> object:
-    if isinstance(payload, tuple) and payload:
-        return payload[0]
-    return payload
+    return trace_memo(result).loop_regions(task_id)
 
 
 def parallel_fraction(result: RunResult, task_id: int) -> float:

@@ -24,7 +24,7 @@ from repro.core.concurrency import (
     total_parallel_loop_concurrency,
 )
 from repro.core.runner import RunResult
-from repro.core.trace_analysis import IntervalKind
+from repro.core.trace_analysis import IntervalKind, trace_memo
 
 __all__ = ["ContentionRow", "tp_actual_ns", "t1_split_ns", "contention_overhead"]
 
@@ -64,12 +64,7 @@ def t1_split_ns(result_1proc: RunResult) -> tuple[float, float]:
             f"t1_split_ns needs the 1-processor run, got "
             f"{result_1proc.n_processors} processors"
         )
-    from repro.core.breakdown import _intervals
-
-    t1_mc = 0.0
-    for interval in _intervals(result_1proc):
-        if interval.task_id == 0 and interval.kind is IntervalKind.MC_LOOP:
-            t1_mc += interval.duration_ns
+    t1_mc = trace_memo(result_1proc).total_ns(IntervalKind.MC_LOOP, 0)
     total = tp_actual_ns(result_1proc)
     return t1_mc, max(0.0, total - t1_mc)
 

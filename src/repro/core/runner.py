@@ -17,7 +17,7 @@ from repro.apps.base import AppModel
 from repro.hardware.config import CedarConfig, paper_configuration
 from repro.hardware.machine import CedarMachine
 from repro.hpm.activity import ActivityBoard
-from repro.hpm.events import TraceEvent
+from repro.hpm.columns import HpmTrace
 from repro.hpm.monitor import CedarHpm
 from repro.hpm.statfx import Statfx
 from repro.obs.hostclock import WallTimer
@@ -57,8 +57,9 @@ class RunResult:
     extrapolation: float
     #: Simulated completion time in nanoseconds (not extrapolated).
     ct_ns: int
-    #: The off-loaded cedarhpm trace buffer.
-    events: list[TraceEvent]
+    #: The off-loaded cedarhpm trace buffer (columnar; iterating it
+    #: yields :class:`~repro.hpm.events.TraceEvent` objects).
+    events: HpmTrace
     accounting: TimeAccounting
     fault_stats: FaultStats
     statfx: Statfx

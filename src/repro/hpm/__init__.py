@@ -2,6 +2,8 @@
 
 * :class:`CedarHpm` -- the external, non-intrusive hardware trace
   monitor (``cedarhpm``) with 50 ns timestamps;
+* :class:`HpmTrace` -- its off-loaded buffer, one numpy column per
+  record field;
 * :class:`Statfx` -- the software concurrency monitor (``statfx``);
 * :class:`ActivityBoard` -- the per-CE activity state both monitors
   observe;
@@ -10,6 +12,7 @@
 """
 
 from repro.hpm.activity import ActivityBoard
+from repro.hpm.columns import HpmTrace
 from repro.hpm.events import OS_EVENTS, RTL_EVENTS, EventType, TraceEvent
 from repro.hpm.monitor import CedarHpm
 from repro.hpm.statfx import Statfx
@@ -19,6 +22,7 @@ __all__ = [
     "ActivityBoard",
     "CedarHpm",
     "EventType",
+    "HpmTrace",
     "OS_EVENTS",
     "RTL_EVENTS",
     "Statfx",

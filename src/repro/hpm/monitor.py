@@ -11,8 +11,10 @@ simulated time for recording.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Iterator
 
+from repro.hpm.columns import HpmTrace
 from repro.hpm.events import EventType, TraceEvent
 from repro.sim import Simulator
 
@@ -21,6 +23,11 @@ __all__ = ["CedarHpm"]
 
 class CedarHpm:
     """Non-intrusive event-trace monitor with 50 ns resolution.
+
+    Records go straight into typed columns -- event id, quantised
+    timestamp, CE and task as ``array('q')``, payloads as a list --
+    and :meth:`offload` freezes them into an :class:`HpmTrace`; no
+    per-event object is built unless a subscriber asks for one.
 
     Parameters
     ----------
@@ -44,7 +51,11 @@ class CedarHpm:
         self.sim = sim
         self.resolution_ns = resolution_ns
         self.buffer_capacity = buffer_capacity
-        self._events: list[TraceEvent] = []
+        self._types = array("q")
+        self._times = array("q")
+        self._ces = array("q")
+        self._tasks = array("q")
+        self._payloads: list = []
         self.dropped = 0
         self._subscribers: list[Callable[[TraceEvent], None]] = []
 
@@ -54,49 +65,60 @@ class CedarHpm:
         processor_id: int,
         task_id: int = -1,
         payload: object = None,
-    ) -> TraceEvent | None:
+    ) -> int | None:
         """Record one event at the current simulated time.
 
-        Returns the recorded event, or ``None`` if the buffer was full
-        (the event is counted in :attr:`dropped`).
+        Returns the event's index in the buffer, or ``None`` if the
+        buffer was full (the event is counted in :attr:`dropped`).
         """
-        if self.buffer_capacity is not None and len(self._events) >= self.buffer_capacity:
+        index = len(self._times)
+        if self.buffer_capacity is not None and index >= self.buffer_capacity:
             self.dropped += 1
             return None
         quantised = (self.sim.now // self.resolution_ns) * self.resolution_ns
-        event = TraceEvent(event_type, quantised, processor_id, task_id, payload)
-        self._events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
-        return event
+        self._types.append(event_type)
+        self._times.append(quantised)
+        self._ces.append(processor_id)
+        self._tasks.append(task_id)
+        self._payloads.append(payload)
+        if self._subscribers:
+            event = TraceEvent(event_type, quantised, processor_id, task_id, payload)
+            for subscriber in self._subscribers:
+                subscriber(event)
+        return index
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Invoke *callback* for every subsequently recorded event."""
+        """Invoke *callback* with a :class:`TraceEvent` for every
+        subsequently recorded event."""
         self._subscribers.append(callback)
 
     # -- off-loading (trace access) --------------------------------------
 
-    def offload(self) -> list[TraceEvent]:
+    def offload(self) -> HpmTrace:
         """All recorded events in record order (the off-loaded buffer)."""
-        return list(self._events)
+        return HpmTrace.freeze(
+            self._types, self._times, self._ces, self._tasks, self._payloads
+        )
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._times)
 
     def events_of(self, *event_types: EventType) -> Iterator[TraceEvent]:
         """Iterate over events of the given types, in record order."""
         wanted = set(event_types)
-        return (e for e in self._events if e.event_type in wanted)
+        return (e for e in self.offload() if e.event_type in wanted)
 
     def events_on(self, processor_id: int) -> Iterator[TraceEvent]:
         """Iterate over the events recorded on one processor."""
-        return (e for e in self._events if e.processor_id == processor_id)
+        return (e for e in self.offload() if e.processor_id == processor_id)
 
     def events_for_task(self, task_id: int) -> Iterator[TraceEvent]:
         """Iterate over the events recorded for one task."""
-        return (e for e in self._events if e.task_id == task_id)
+        return (e for e in self.offload() if e.task_id == task_id)
 
     def clear(self) -> None:
         """Discard the trace buffer contents."""
-        self._events.clear()
+        for column in (self._types, self._times, self._ces, self._tasks):
+            del column[:]
+        self._payloads.clear()
         self.dropped = 0

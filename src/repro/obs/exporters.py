@@ -127,7 +127,7 @@ def chrome_trace(result: "RunResult") -> dict:
     (counter) samples of cumulative bank busy time when the run used
     the packet-level memory system.
     """
-    from repro.core.trace_analysis import extract_intervals
+    from repro.core.trace_analysis import trace_memo
 
     config = result.config
     events: list[dict] = []
@@ -137,7 +137,7 @@ def chrome_trace(result: "RunResult") -> dict:
         events.append(_metadata_event(_CE_PID, ce_id, "thread_name", f"ce{ce_id}"))
     for bank in range(config.n_memory_modules):
         events.append(_metadata_event(_BANK_PID, bank, "thread_name", f"bank{bank}"))
-    for interval in extract_intervals(result.events, end_ns=result.ct_ns):
+    for interval in trace_memo(result).intervals():
         args: dict[str, object] = {"task_id": interval.task_id}
         if interval.construct is not None:
             args["construct"] = interval.construct

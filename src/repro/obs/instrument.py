@@ -30,9 +30,10 @@ prefix       contents
 
 from __future__ import annotations
 
-from collections import Counter as _TallyCounter
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.hpm.columns import HpmTrace
 from repro.obs.profile import ProcessProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import KernelTraceBuffer, MultiSink, TraceSink
@@ -236,20 +237,20 @@ def _collect_runtime(result: "RunResult", reg: MetricsRegistry) -> None:
 def collect_hpm_metrics(
     hpm: "CedarHpm | HpmView",
     reg: MetricsRegistry,
-    events: "list[TraceEvent] | None" = None,
+    events: "Sequence[TraceEvent] | None" = None,
 ) -> MetricsRegistry:
     """Harvest a ``cedarhpm`` monitor's buffer state into ``hpm.*``.
 
     *events* overrides the event list to tally (e.g. the off-loaded
     buffer kept on a :class:`~repro.core.runner.RunResult`).
     """
-    tallied = events if events is not None else hpm.offload()
+    tallied = HpmTrace.from_events(events if events is not None else hpm.offload())
     reg.counter("hpm.events_recorded").inc(len(tallied))
     reg.counter("hpm.dropped_events").inc(hpm.dropped)
     if hpm.buffer_capacity is not None:
         reg.gauge("hpm.buffer_capacity").set(hpm.buffer_capacity)
     for name, count in sorted(
-        _TallyCounter(e.event_type.name.lower() for e in tallied).items()
+        (etype.name.lower(), count) for etype, count in tallied.type_counts().items()
     ):
         reg.counter(f"hpm.events.{name}").inc(count)
     return reg

@@ -64,7 +64,10 @@ __all__ = [
     "default_cache_dir",
 ]
 
-CACHE_SCHEMA = "cedar-repro/cell-cache/v1"
+# v1 -> v2: snapshots carry the cedarhpm trace as numpy columns
+# (repro.hpm.HpmTrace) instead of one TraceEvent object per event.
+CACHE_SCHEMA = "cedar-repro/cell-cache/v2"
+
 # v1 -> v2: scenario cells added a "scenario" document-digest field.
 KEY_SCHEMA = "cedar-repro/cell-key/v2"
 

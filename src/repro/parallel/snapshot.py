@@ -8,8 +8,11 @@ written to the result cache.  :func:`snapshot_result` rebuilds the same
 exactly like the live classes for everything the analysis layer and the
 ``repro.obs`` metric collectors read after a run:
 
-* ``result.accounting`` / ``result.fault_stats`` / ``result.events`` --
-  plain data, deep-copied verbatim;
+* ``result.accounting`` / ``result.fault_stats`` -- plain data,
+  deep-copied verbatim;
+* ``result.events`` -- the immutable columnar
+  :class:`~repro.hpm.columns.HpmTrace`, shared as it is: it pickles as
+  a few numpy arrays plus the distinct payloads;
 * ``result.statfx`` / ``result.board`` -- concurrency queries answered
   from values frozen at end-of-run simulated time;
 * ``result.machine`` -- the memory ledger, the streaming-load tracker,
@@ -42,9 +45,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.runner import RunResult
+from repro.hpm.columns import HpmTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hpm.events import TraceEvent
     from repro.xylem.locks import KernelLock
     from repro.xylem.params import XylemParams
 
@@ -201,9 +204,9 @@ class HpmView:
     dropped: int
     buffer_capacity: int | None
     resolution_ns: int
-    events: list = field(default_factory=list, repr=False)
+    events: HpmTrace = field(repr=False)
 
-    def offload(self) -> "list[TraceEvent]":
+    def offload(self) -> HpmTrace:
         """The retained event buffer (already off-loaded at snapshot)."""
         return self.events
 
@@ -271,7 +274,7 @@ def snapshot_result(result: RunResult) -> RunResult:
     sections = result.kernel.critical_sections
     statfx = result.statfx
     board = result.board
-    events = list(result.events)
+    events = result.events
     hpm = result.hpm
     return RunResult(
         app_name=result.app_name,

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -52,3 +55,35 @@ def test_sweep_command(capsys):
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "Table 4" in out
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    """``--jobs 64`` runs at most one worker per CPU, with serial's tables."""
+    from repro.parallel import durable, executor
+
+    cpus = os.cpu_count() or 1
+    widths = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(durable, "ProcessPoolExecutor", RecordingPool)
+    assert build_parser().parse_args(["tables", "--jobs", "64"]).jobs == min(64, cpus)
+    assert build_parser().parse_args(["tables", "--jobs", "1"]).jobs == 1
+    main(["sweep", "mdg", "--scale", "0.004", "--jobs", "64"])
+    pooled = capsys.readouterr().out
+    main(["sweep", "mdg", "--scale", "0.004"])
+    serial = capsys.readouterr().out
+    assert pooled == serial
+    assert "Table 1" in serial
+    assert all(width <= cpus for width in widths)
+    if cpus > 1:
+        assert widths
+
+
+def test_jobs_rejects_non_integer():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["tables", "--jobs", "many"])

@@ -11,6 +11,7 @@ unit tests pin the corruption modes by name.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pickle
 import sys
 import types
@@ -300,3 +301,37 @@ def test_code_fingerprint_covers_interpreter_version(monkeypatch):
     monkeypatch.setattr(cache_mod.sys, "version_info", fake)
     monkeypatch.setattr(cache_mod, "_code_fingerprint", None)
     assert cache_mod.code_fingerprint() != current
+
+
+def test_v1_envelope_is_a_counted_miss_and_rerun(tmp_path):
+    """An entry in the object-trace (v1) layout is never served."""
+    from repro.hpm import HpmTrace
+    from repro.parallel import execute_cells, run_cell
+
+    spec = CellSpec(app="MDG", n_processors=1, scale=0.004, seed=1994)
+    fresh = run_cell(spec)
+    old_layout = dataclasses.replace(fresh, events=list(fresh.events))
+    payload = pickle.dumps(old_layout, protocol=pickle.HIGHEST_PROTOCOL)
+    cache = ResultCache(tmp_path)
+    path = cache.path_for(spec.key())
+    path.parent.mkdir(parents=True)
+    path.write_bytes(
+        pickle.dumps(
+            {
+                "schema": "cedar-repro/cell-cache/v1",
+                "key": spec.key(),
+                "digest": hashlib.blake2b(payload, digest_size=16).hexdigest(),
+                "payload": payload,
+            }
+        )
+    )
+    cells, failures = execute_cells([spec], jobs=1, cache=cache)
+    assert not failures
+    assert (cache.hits, cache.misses, cache.corrupt) == (0, 1, 1)
+    result = cells[spec]
+    assert isinstance(result.events, HpmTrace)
+    assert result.ct_ns == fresh.ct_ns
+    assert result.events == fresh.events
+    # The re-run replaced the entry with a current-schema one.
+    assert cache.get(spec.key()).events == fresh.events
+    assert cache.hits == 1
