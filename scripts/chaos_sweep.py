@@ -2,15 +2,16 @@
 """Host-level chaos harness: crash a campaign on purpose, prove recovery.
 
 Where ``parallel_smoke.py`` proves the happy path (pool + cache =
-byte-identical tables), this harness proves the *unhappy* paths that
-``repro.parallel.durable`` exists for (``docs/resilience.md``).  Four
+byte-identical tables), this harness proves the *unhappy* paths the coordinator's
+self-healing pool and write-ahead journal exist for
+(``docs/resilience.md``).  Four
 legs, one fixed seeded grid:
 
 1. **reference** -- serial ``parallel_sweep`` (no pool, no cache); its
    Tables 1/3/4 text is the byte-identity yardstick for everything
    below.
-2. **clean durable** -- the same grid through ``durable_sweep``
-   (journal + pool, no faults): tables must match, and its wall is the
+2. **clean durable** -- the same grid through
+   ``parallel_sweep(checkpoint=...)`` (journal + pool, no faults): tables must match, and its wall is the
    baseline for the overhead gate.
 3. **chaos durable** -- the same grid under a seeded
    :class:`~repro.faults.host.HostChaosPlan` that SIGKILLs one worker
@@ -67,7 +68,6 @@ from repro.faults.host import (  # noqa: E402
 from repro.parallel import (  # noqa: E402
     DurablePolicy,
     ResultCache,
-    durable_sweep,
     load_journal,
     parallel_sweep,
     resume_sweep,
@@ -186,14 +186,14 @@ def _interrupt_subprocess(
     """
     driver = (
         "import sys\n"
-        "from repro.parallel import durable_sweep, DurablePolicy, CampaignInterrupted\n"
+        "from repro.parallel import parallel_sweep, DurablePolicy, CampaignInterrupted\n"
         f"policy = DurablePolicy(cell_deadline_s={deadline!r}, "
         f"backoff_base_s={BACKOFF_BASE_S!r}, backoff_cap_s={BACKOFF_CAP_S!r}, "
         "poll_interval_s=0.02)\n"
         "try:\n"
-        f"    durable_sweep({list(apps)!r}, {str(journal)!r}, "
+        f"    parallel_sweep({list(apps)!r}, checkpoint={str(journal)!r}, "
         f"configs={list(configs)!r}, scale={scale!r}, seed={SEED!r}, "
-        "jobs=2, policy=policy)\n"
+        "jobs=2, retries=3, durable_policy=policy)\n"
         "except CampaignInterrupted as exc:\n"
         "    print(exc, file=sys.stderr)\n"
         "    sys.exit(130)\n"
@@ -266,14 +266,15 @@ def main() -> int:
     print("  leg 1 (serial reference): done")
 
     # Leg 2: clean durable pooled run.
-    clean = durable_sweep(
+    clean = parallel_sweep(
         apps,
-        work / "clean.journal",
+        checkpoint=work / "clean.journal",
         configs=configs,
         scale=scale,
         seed=SEED,
         jobs=2,
-        policy=_policy(deadline),
+        retries=3,
+        durable_policy=_policy(deadline),
         handle_signals=False,
     )
     clean_wall = clean.recovery["wall"]["wall_s"]
@@ -284,14 +285,15 @@ def main() -> int:
     plan = _chaos_plan(apps, configs)
     if artifacts is not None:
         save_host_chaos(plan, artifacts / "chaos_plan.json")
-    chaos = durable_sweep(
+    chaos = parallel_sweep(
         apps,
-        work / "chaos.journal",
+        checkpoint=work / "chaos.journal",
         configs=configs,
         scale=scale,
         seed=SEED,
         jobs=2,
-        policy=_policy(deadline),
+        retries=3,
+        durable_policy=_policy(deadline),
         chaos=plan,
         handle_signals=False,
     )

@@ -70,6 +70,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.apps import PAPER_APPS
@@ -158,16 +159,14 @@ def _durable_options(args: argparse.Namespace):
 
     Loads the host-chaos plan and builds the
     :class:`~repro.parallel.durable.DurablePolicy` when the relevant
-    flags are set; enforces that chaos and deadlines make sense only
-    with a checkpoint journal (the crash-safe layer owns recovery).
+    flags are set.  Either one makes the coordinator run cells in a
+    pool of killable workers, with or without a checkpoint journal.
     """
     checkpoint = getattr(args, "checkpoint", None)
     chaos_path = getattr(args, "chaos", None)
     deadline = getattr(args, "cell_deadline", None)
     chaos = None
     if chaos_path:
-        if not checkpoint:
-            raise CLIError("--chaos requires --checkpoint (journaled execution)")
         from repro.faults.host import HostChaosError, load_host_chaos
 
         try:
@@ -176,12 +175,54 @@ def _durable_options(args: argparse.Namespace):
             raise CLIError(str(exc)) from exc
     policy = None
     if deadline is not None:
-        if not checkpoint:
-            raise CLIError("--cell-deadline requires --checkpoint")
         from repro.parallel import DurablePolicy
 
         policy = DurablePolicy(cell_deadline_s=deadline)
     return checkpoint, chaos, policy
+
+
+def _run_sweep(args: argparse.Namespace, apps, label: str, durable, **sweep):
+    """``(outcome, telemetry)`` of ``resilient_sweep`` under the shared flags.
+
+    *durable* is :func:`_durable_options`' ``(checkpoint, chaos,
+    policy)``; *sweep* carries the command's own sweep arguments.
+    """
+    checkpoint, chaos, policy = durable
+    telemetry = (
+        _make_telemetry(args, label=label) if _telemetry_requested(args) else None
+    )
+    outcome = resilient_sweep(
+        apps,
+        scale=args.scale,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        telemetry=telemetry,
+        checkpoint=checkpoint,
+        chaos=chaos,
+        durable_policy=policy,
+        **sweep,
+    )
+    return outcome, telemetry
+
+
+def _execute_or_exit(args: argparse.Namespace, specs, telemetry):
+    """``execute_cells`` results for *specs*; the first failure exits 1."""
+    from repro.parallel import ResultCache, execute_cells
+
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    cells, failures = execute_cells(
+        specs, jobs=args.jobs, cache=cache, telemetry=telemetry
+    )
+    if failures:
+        failure = failures[0]
+        print(
+            f"error: {failure.app} P={failure.n_processors} failed after "
+            f"{failure.attempts} attempt(s): {failure.error_type}: "
+            f"{failure.message}",
+            file=sys.stderr,
+        )
+        raise SystemExit(1)
+    return cells
 
 
 def _write_recovery_report(args: argparse.Namespace, outcome) -> None:
@@ -190,7 +231,7 @@ def _write_recovery_report(args: argparse.Namespace, outcome) -> None:
     if not path:
         return
     if outcome.recovery is None:
-        print("no recovery report: the sweep did not run durably")
+        print("no recovery report: the sweep ran without --checkpoint")
         return
     from repro.parallel import save_recovery_report
 
@@ -309,7 +350,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
     telemetry = None
     if _parallel_requested(args) or _telemetry_requested(args):
-        from repro.parallel import CellSpec, ResultCache, execute_cells
+        from repro.parallel import CellSpec
 
         if _telemetry_requested(args):
             telemetry = _make_telemetry(args, label=f"run {app_name}")
@@ -325,30 +366,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
             seed=seed,
             scenario=scenario_json,
         )
-        specs = [spec]
-        if processors > 1:
-            specs.append(
-                CellSpec(
-                    app=app_name,
-                    n_processors=1,
-                    scale=scale,
-                    seed=seed,
-                    scenario=scenario_json,
-                )
-            )
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-        cells, failures = execute_cells(
-            specs, jobs=args.jobs, cache=cache, telemetry=telemetry
-        )
-        if failures:
-            failure = failures[0]
-            print(
-                f"error: {failure.app} P={failure.n_processors} failed after "
-                f"{failure.attempts} attempt(s): {failure.error_type}: "
-                f"{failure.message}",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
+        specs = [spec, replace(spec, n_processors=1)] if processors > 1 else [spec]
+        cells = _execute_or_exit(args, specs, telemetry)
         result = cells[specs[0]]
         base = cells[specs[1]] if processors > 1 else None
     else:
@@ -395,22 +414,8 @@ def _report_failures(outcome) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     _app_builder(args.app)  # validate
     app = args.app.upper()
-    checkpoint, chaos, policy = _durable_options(args)
-    telemetry = (
-        _make_telemetry(args, label=f"sweep {app}")
-        if _telemetry_requested(args)
-        else None
-    )
-    outcome = resilient_sweep(
-        [app],
-        scale=args.scale,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        telemetry=telemetry,
-        checkpoint=checkpoint,
-        chaos=chaos,
-        durable_policy=policy,
+    outcome, telemetry = _run_sweep(
+        args, [app], f"sweep {app}", _durable_options(args), seed=args.seed
     )
     results = outcome.results[app]
     if outcome.ok:
@@ -430,22 +435,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_tables(args: argparse.Namespace) -> None:
     from repro.core import reference
 
-    checkpoint, chaos, policy = _durable_options(args)
-    telemetry = (
-        _make_telemetry(args, label="tables")
-        if _telemetry_requested(args)
-        else None
-    )
-    outcome = resilient_sweep(
-        reference.APPS,
-        scale=args.scale,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        telemetry=telemetry,
-        checkpoint=checkpoint,
-        chaos=chaos,
-        durable_policy=policy,
+    outcome, telemetry = _run_sweep(
+        args, reference.APPS, "tables", _durable_options(args), seed=args.seed
     )
     sweep = outcome.results
     if outcome.ok:
@@ -530,7 +521,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         # campaign registry, so ``parallel.*`` / ``cache.*`` counters
         # (hits, misses, corruption-as-miss, utilization) and the
         # ``campaign.*``-merged worker metrics are part of the output.
-        from repro.parallel import CellSpec, ResultCache, execute_cells
+        from repro.parallel import CellSpec
 
         telemetry = _make_telemetry(args, label=f"stats {args.app.upper()}")
         spec = CellSpec(
@@ -539,20 +530,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
             scale=args.scale,
             seed=args.seed,
         )
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-        cells, failures = execute_cells(
-            [spec], jobs=args.jobs, cache=cache, telemetry=telemetry
-        )
-        if failures:
-            failure = failures[0]
-            print(
-                f"error: {failure.app} P={failure.n_processors} failed after "
-                f"{failure.attempts} attempt(s): {failure.error_type}: "
-                f"{failure.message}",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
-        result = cells[spec]
+        result = _execute_or_exit(args, [spec], telemetry)[spec]
         registry = telemetry.registry
     else:
         telemetry = None
@@ -773,27 +751,23 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
     for app in apps:
         _app_builder(app)
 
-    checkpoint, chaos, policy = _durable_options(args)
-    telemetry = (
-        _make_telemetry(args, label=f"campaign {spec.name}")
-        if _telemetry_requested(args)
-        else None
-    )
-    if _parallel_requested(args) or telemetry is not None or checkpoint is not None:
-        outcome = resilient_sweep(
+    durable = _durable_options(args)
+    if (
+        _parallel_requested(args)
+        or _telemetry_requested(args)
+        or any(option is not None for option in durable)
+    ):
+        outcome, telemetry = _run_sweep(
+            args,
             apps,
+            f"campaign {spec.name}",
+            durable,
             configs=configs,
-            scale=args.scale,
             seed=seed,
             campaign=spec,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            telemetry=telemetry,
-            checkpoint=checkpoint,
-            chaos=chaos,
-            durable_policy=policy,
         )
     else:
+        telemetry = None
 
         def run_cell(app: str, n_proc: int):
             return run_with_campaign(
@@ -951,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="FILE",
             default=None,
             help="host-chaos plan JSON: kill/hang/straggle workers "
-            "(requires --checkpoint)",
+            "(runs cells in a worker pool, even with --jobs 1)",
         )
         command.add_argument(
             "--cell-deadline",
@@ -959,7 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SECONDS",
             help="wall budget per cell attempt; over-deadline cells are "
-            "killed and retried (requires --checkpoint)",
+            "killed and retried (runs cells in a worker pool, even with "
+            "--jobs 1)",
         )
         command.add_argument(
             "--recovery-report",

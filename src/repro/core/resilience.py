@@ -51,9 +51,9 @@ class SweepOutcome:
     seed: int
     results: dict[str, dict[int, RunResult]] = field(default_factory=dict)
     failures: list[CellFailure] = field(default_factory=list)
-    #: ``cedar-repro/recovery-report/v1`` dict when the sweep ran through
-    #: the durable layer (:mod:`repro.parallel.durable`); ``None``
-    #: otherwise.
+    #: ``cedar-repro/recovery-report/v1`` dict when the sweep ran with a
+    #: checkpoint journal (:func:`repro.parallel.parallel_sweep`);
+    #: ``None`` otherwise.
     recovery: dict | None = None
 
     @property
@@ -102,26 +102,20 @@ def resilient_sweep(
     routes through the parallel path, so resilient campaign sweeps log
     through the same event-log/progress/report seam as pooled ones.
 
-    A *checkpoint* journal path routes through the crash-safe layer
-    (:mod:`repro.parallel.durable`): cells are journaled before
-    dispatch, an existing journal resumes, and the outcome carries a
-    recovery report; *chaos* (a
-    :class:`~repro.faults.host.HostChaosPlan`) and *durable_policy*
-    (a :class:`~repro.parallel.durable.DurablePolicy`) configure the
-    host-fault harness and health monitor (``docs/resilience.md``).
+    A *checkpoint* journal path, *chaos* (a
+    :class:`~repro.faults.host.HostChaosPlan`) or *durable_policy* (a
+    :class:`~repro.parallel.durable.DurablePolicy`) route through
+    :func:`~repro.parallel.parallel_sweep` too: cells are journaled
+    before dispatch, an existing journal resumes, and the outcome
+    carries a recovery report (``docs/resilience.md``).
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    # Materialise once: the serial loop walks the configs once per app.
+    configs = list(configs)
 
-    if (
-        jobs != 1
-        or cache_dir is not None
-        or campaign is not None
-        or telemetry is not None
-        or checkpoint is not None
-        or chaos is not None
-        or durable_policy is not None
-    ):
+    coordinated = (cache_dir, campaign, telemetry, checkpoint, chaos, durable_policy)
+    if jobs != 1 or any(option is not None for option in coordinated):
         if run_cell is not None:
             raise ValueError(
                 "run_cell is a serial-only seam; use CellSpec/execute_cells "

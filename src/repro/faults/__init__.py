@@ -18,9 +18,10 @@ Entry points:
 
 :mod:`repro.faults.host` is the *other* fault plane: seeded chaos
 against the **host** running the campaign (SIGKILLed workers, hangs,
-stragglers, corrupted cache entries), used to exercise the crash-safe
-execution layer in :mod:`repro.parallel.durable` rather than the
-simulated machine (``docs/resilience.md``).
+stragglers, corrupted cache entries), used to exercise the sweep
+coordinator's self-healing pool and journal
+(:func:`repro.parallel.execute_cells`) rather than the simulated
+machine (``docs/resilience.md``).
 """
 
 from repro.faults.campaign import CampaignRunOutcome, run_with_campaign

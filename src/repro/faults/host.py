@@ -2,9 +2,10 @@
 
 :mod:`repro.faults` degrades the simulated Cedar; this module degrades
 the measurement campaign itself -- the worker processes, the result
-cache, the coordinator -- so the crash-safe execution layer
-(:mod:`repro.parallel.durable`) can be exercised against the failures
-long-running measurement infrastructure actually hits:
+cache, the coordinator -- so the sweep coordinator's self-healing
+pool and journal (:func:`repro.parallel.execute_cells`) can be
+exercised against the failures long-running measurement
+infrastructure actually hits:
 
 * ``worker_kill`` -- SIGKILL the worker mid-cell (a timer thread fires
   while the simulation runs, so the coordinator sees a broken pool with

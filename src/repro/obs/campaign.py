@@ -46,7 +46,7 @@ from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runner import RunResult
-    from repro.parallel.executor import CellSpec
+    from repro.parallel.spec import CellSpec
 
 __all__ = [
     "CAMPAIGN_LOG_SCHEMA",
@@ -387,7 +387,7 @@ class CampaignTelemetry:
     def on_recovery(self, kind: str, **fields: object) -> None:
         """Log one recovery event (respawn, straggler, checkpoint, ...).
 
-        The durable execution layer (:mod:`repro.parallel.durable`)
+        The sweep coordinator (:func:`repro.parallel.execute_cells`)
         narrates its self-healing through this seam: each event lands
         in the JSONL log as ``{"ev": "recovery", "kind": kind, ...}``
         and bumps the ``campaign.recovery.<kind>`` counter, so SLO

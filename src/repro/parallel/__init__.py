@@ -6,21 +6,27 @@ on-disk cache, and warm reruns skip simulation entirely -- while
 staying byte-identical to the serial path (the model is deterministic,
 and every cell carries its schedule hash to prove it).
 
-* :class:`~repro.parallel.executor.CellSpec` /
+* :class:`~repro.parallel.spec.CellSpec` /
   :func:`~repro.parallel.executor.run_cell` -- one sweep cell and its
-  (serial *and* worker-side) execution.
-* :func:`~repro.parallel.executor.execute_cells` /
-  :func:`~repro.parallel.executor.parallel_sweep` -- pool + cache +
-  per-cell failure isolation, composing with
-  :func:`~repro.core.resilience.resilient_sweep` semantics.
+  (inline *and* worker-side) execution.
+* :func:`~repro.parallel.executor.execute_cells` -- the one coordinator
+  every sweep goes through: cache first, then inline (``jobs == 1``
+  with no host-chaos plan and no cell deadline) or in a self-healing
+  pool, journaled when given a journal; per-cell failure isolation
+  composes with :func:`~repro.core.resilience.resilient_sweep`
+  semantics.
+* :func:`~repro.parallel.executor.parallel_sweep` /
+  :func:`~repro.parallel.executor.resume_sweep` -- sweep-shaped entry
+  points over it; ``checkpoint=`` creates or resumes a write-ahead
+  journal.
 * :class:`~repro.parallel.cache.ResultCache` /
   :func:`~repro.parallel.cache.cell_key` -- the cache and its
   fingerprinting rules.
 * :func:`~repro.parallel.snapshot.snapshot_result` -- detached,
   picklable run results.
 * :mod:`repro.parallel.journal` / :mod:`repro.parallel.durable` -- the
-  crash-safe layer: write-ahead journal, resume, worker health and
-  self-healing pools, straggler speculation, recovery reports.
+  crash-safety building blocks: write-ahead journal, policy, worker
+  heartbeats, recovery ledger and reports.
 """
 
 from repro.parallel.cache import (
@@ -36,15 +42,13 @@ from repro.parallel.durable import (
     DurablePolicy,
     RecoveryLedger,
     backoff_s,
-    durable_execute_cells,
-    durable_sweep,
-    resume_sweep,
     save_recovery_report,
 )
 from repro.parallel.executor import (
     CellSpec,
     execute_cells,
     parallel_sweep,
+    resume_sweep,
     run_cell,
 )
 from repro.parallel.journal import (
@@ -74,8 +78,6 @@ __all__ = [
     "cell_key",
     "code_fingerprint",
     "default_cache_dir",
-    "durable_execute_cells",
-    "durable_sweep",
     "execute_cells",
     "is_snapshot",
     "load_journal",

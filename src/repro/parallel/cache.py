@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runner import RunResult
     from repro.obs.registry import MetricsRegistry
-    from repro.parallel.executor import CellSpec
+    from repro.parallel.spec import CellSpec
 
 __all__ = [
     "CACHE_SCHEMA",

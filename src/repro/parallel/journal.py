@@ -20,8 +20,9 @@ flushed and fsynced, so a crash can tear at most the final line --
 :func:`load_journal` tolerates exactly that (a trailing line that does
 not parse is dropped; anything torn earlier is corruption and raises).
 
-Resume semantics live in :mod:`repro.parallel.durable`: completed cells
-are *served from the result cache* (the ``done`` record is the index,
+Resume semantics live in the coordinator
+(:func:`~repro.parallel.executor.execute_cells`): completed cells are
+*served from the result cache* (the ``done`` record is the index,
 the cache envelope is the data -- each verifies independently), and a
 journal whose header fingerprint does not match the running code is
 refused (:class:`JournalMismatchError`), because resuming across a
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
 from repro.parallel.cache import code_fingerprint
-from repro.parallel.executor import CellSpec
+from repro.parallel.spec import CellSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.resilience import CellFailure
@@ -50,6 +51,7 @@ __all__ = [
     "JournalMismatchError",
     "JournalState",
     "load_journal",
+    "open_journal",
     "spec_from_dict",
     "spec_to_dict",
 ]
@@ -74,7 +76,7 @@ class JournalMismatchError(JournalError):
 
 
 def spec_to_dict(spec: CellSpec) -> dict:
-    """JSON form of a :class:`~repro.parallel.executor.CellSpec`."""
+    """JSON form of a :class:`~repro.parallel.spec.CellSpec`."""
     return {
         "app": spec.app,
         "n_processors": spec.n_processors,
@@ -331,3 +333,31 @@ def load_journal(path: str | Path) -> JournalState:
             state.events.append(record)
     state.checkpointed = bool(records) and records[-1].get("ev") == "checkpoint"
     return state
+
+
+def open_journal(
+    path: str | Path, specs: "list[CellSpec]", **header: Any
+) -> "tuple[CampaignJournal, frozenset[str]]":
+    """Create the journal at *path*, or re-open it to resume.
+
+    A fresh journal is written by :meth:`CampaignJournal.create` with
+    *specs* and the *header* fields.  An existing one must carry this
+    code's fingerprint and exactly this cell set; it is re-opened for
+    appending.  Returns ``(journal, keys of the cells it records as
+    done)``.
+    """
+    path = Path(path)
+    if not path.exists():
+        return CampaignJournal.create(path, specs, **header), frozenset()
+    state = load_journal(path)
+    state.check_fingerprint()
+    journal_keys = {spec.key() for spec in state.specs}
+    grid_keys = {spec.key() for spec in specs}
+    if journal_keys != grid_keys:
+        raise JournalError(
+            f"journal {path} covers a different cell set than this "
+            f"sweep ({len(journal_keys)} vs {len(grid_keys)} cells); "
+            f"resume it with `cedar-repro resume` or pick a new "
+            f"checkpoint path"
+        )
+    return CampaignJournal.append_to(path), frozenset(state.done)

@@ -59,7 +59,7 @@ def test_sweep_command(capsys):
 
 def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
     """``--jobs 64`` runs at most one worker per CPU, with serial's tables."""
-    from repro.parallel import durable, executor
+    from repro.parallel import executor
 
     cpus = os.cpu_count() or 1
     widths = []
@@ -70,7 +70,6 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(durable, "ProcessPoolExecutor", RecordingPool)
     assert build_parser().parse_args(["tables", "--jobs", "64"]).jobs == min(64, cpus)
     assert build_parser().parse_args(["tables", "--jobs", "1"]).jobs == 1
     main(["sweep", "mdg", "--scale", "0.004", "--jobs", "64"])

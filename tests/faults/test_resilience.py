@@ -53,6 +53,25 @@ def test_retries_zero_means_single_attempt():
     assert calls == [("A", 1)]
 
 
+def _tiny_cell(app, n_proc):
+    return run_application(_TINY, n_proc, scale=1.0, os_params=XylemParams(seed=1))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [dict(run_cell=_tiny_cell), dict(scale=0.002, jobs=2)],
+    ids=["serial", "pooled"],
+)
+def test_one_shot_configs_cover_every_app(path):
+    # A configs iterator is consumed once, not once per app.
+    outcome = resilient_sweep(["FLO52", "OCEAN"], configs=iter((1, 4)), **path)
+    assert outcome.ok
+    assert {app: sorted(by) for app, by in outcome.results.items()} == {
+        "FLO52": [1, 4],
+        "OCEAN": [1, 4],
+    }
+
+
 def test_negative_retries_rejected():
     with pytest.raises(ValueError, match="retries"):
         resilient_sweep(["A"], configs=(1,), retries=-1)

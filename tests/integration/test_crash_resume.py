@@ -1,8 +1,8 @@
 """End-to-end crash recovery: kills, interrupts, resume byte-identity.
 
 These tests execute real worker processes and real signals -- the
-durable layer's whole value is that recovery happens at the process
-level, so mocks would prove nothing.  Scales are tiny (the simulation
+coordinator's recovery is worth something only because it happens at
+the process level, so mocks would prove nothing.  Scales are tiny (the simulation
 model is deterministic at any scale) to keep each scenario in CI-sized
 wall time; the full harness lives in ``scripts/chaos_sweep.py``.
 """
@@ -21,7 +21,6 @@ from repro.parallel import (
     CampaignInterrupted,
     DurablePolicy,
     JournalMismatchError,
-    durable_sweep,
     load_journal,
     parallel_sweep,
     resume_sweep,
@@ -59,14 +58,15 @@ def test_worker_kill_is_retried_to_byte_identical_tables(
             ),
         ),
     )
-    outcome = durable_sweep(
+    outcome = parallel_sweep(
         APPS,
-        tmp_path / "kill.journal",
+        checkpoint=tmp_path / "kill.journal",
         configs=CONFIGS,
         scale=SCALE,
         seed=SEED,
         jobs=2,
-        policy=FAST,
+        retries=3,
+        durable_policy=FAST,
         chaos=plan,
         handle_signals=False,
     )
@@ -97,14 +97,15 @@ def test_hung_cell_is_rescued_by_speculation(tmp_path, reference_tables):
         straggler_floor_s=0.1,
         straggler_factor=3.0,
     )
-    outcome = durable_sweep(
+    outcome = parallel_sweep(
         APPS,
-        tmp_path / "hang.journal",
+        checkpoint=tmp_path / "hang.journal",
         configs=CONFIGS,
         scale=SCALE,
         seed=SEED,
         jobs=2,
-        policy=policy,
+        retries=3,
+        durable_policy=policy,
         chaos=plan,
         handle_signals=False,
     )
@@ -126,14 +127,15 @@ def test_sigint_checkpoints_then_resume_is_byte_identical(
     timer.start()
     try:
         with pytest.raises(CampaignInterrupted, match="cedar-repro resume"):
-            durable_sweep(
+            parallel_sweep(
                 APPS,
-                journal,
+                checkpoint=journal,
                 configs=CONFIGS,
                 scale=SCALE,
                 seed=SEED,
                 jobs=2,
-                policy=FAST,
+                retries=3,
+                durable_policy=FAST,
             )
     finally:
         timer.cancel()
@@ -152,14 +154,15 @@ def test_sigint_checkpoints_then_resume_is_byte_identical(
 
 def test_resume_refuses_foreign_fingerprint(tmp_path, monkeypatch, capsys):
     journal = tmp_path / "foreign.journal"
-    durable_sweep(
+    parallel_sweep(
         ["FLO52"],
-        journal,
+        checkpoint=journal,
         configs=[1],
         scale=SCALE,
         seed=SEED,
         jobs=1,
-        policy=FAST,
+        retries=3,
+        durable_policy=FAST,
         handle_signals=False,
     )
 

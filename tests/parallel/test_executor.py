@@ -1,19 +1,34 @@
-"""Executor semantics: pool == serial, warm cache == simulation.
+"""Coordinator semantics: every mode == serial, warm cache == simulation.
 
-The load-bearing guarantees: a ``jobs>1`` sweep is indistinguishable
-from the serial one (same tables, same schedule hashes), a warm cache
-serves every cell without simulating, metrics report what happened,
-and bad inputs fail loudly.
+The load-bearing guarantees: inline, pooled, journaled and resumed
+sweeps are indistinguishable from the in-process serial one (same
+completion times, result fingerprints and tables), a warm cache serves
+every cell without simulating or spawning anything, metrics report
+what happened, and bad inputs fail loudly.
 """
 
 from __future__ import annotations
 
+import signal
+import tempfile
+
 import pytest
 
+from repro.analyze.race import fingerprint_result
 from repro.core.experiments import table1
 from repro.core.resilience import resilient_sweep
+from repro.faults.host import corrupt_cache_entry
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import CellSpec, ResultCache, execute_cells, parallel_sweep
+from repro.parallel import (
+    CampaignJournal,
+    CellSpec,
+    ResultCache,
+    execute_cells,
+    executor,
+    load_journal,
+    parallel_sweep,
+    resume_sweep,
+)
 
 SCALE = 0.002
 SEED = 1994
@@ -25,55 +40,115 @@ def serial_outcome():
     return parallel_sweep(["FLO52"], configs=CONFIGS, scale=SCALE, seed=SEED, jobs=1)
 
 
-def test_pool_matches_serial(serial_outcome, tmp_path):
-    metrics = MetricsRegistry()
-    pooled = parallel_sweep(
-        ["FLO52"],
-        configs=CONFIGS,
-        scale=SCALE,
-        seed=SEED,
-        jobs=2,
-        cache_dir=tmp_path / "cache",
-        metrics=metrics,
-    )
-    assert pooled.ok and serial_outcome.ok
-    for n_proc in CONFIGS:
-        a = serial_outcome.results["FLO52"][n_proc]
-        b = pooled.results["FLO52"][n_proc]
-        assert b.ct_ns == a.ct_ns
-        assert b.schedule_hash == a.schedule_hash
-    assert table1(pooled.results)[1] == table1(serial_outcome.results)[1]
+@pytest.fixture(scope="module")
+def reference():
+    """The in-process serial sweep, run outside the coordinator."""
+    outcome = resilient_sweep(["FLO52"], configs=CONFIGS, scale=SCALE, seed=SEED)
+    assert outcome.ok
+    return outcome
 
-    # Cold pass: every cell missed the cache, was simulated, was stored.
-    assert metrics.value("parallel.jobs") == 2
+
+def _sweep_in_mode(mode: str, tmp_path, metrics: MetricsRegistry):
+    """One pass of the grid through the coordinator in *mode*.
+
+    ``resumed`` resumes the journal a ``journaled`` pass left behind,
+    with one completed cell's cache entry truncated: that cell is
+    re-simulated, the other is served from the cache.
+    """
+    journal = tmp_path / "sweep.journal"
+    if mode == "resumed":
+        if not journal.exists():
+            _sweep_in_mode("journaled", tmp_path, MetricsRegistry())
+            state = load_journal(journal)
+            corrupt_cache_entry(ResultCache(state.cache_dir), state.specs[0].key())
+        return resume_sweep(journal, jobs=2, metrics=metrics, handle_signals=False)
+    common = dict(configs=CONFIGS, scale=SCALE, seed=SEED, metrics=metrics)
+    if mode == "journaled":
+        return parallel_sweep(
+            ["FLO52"], jobs=2, checkpoint=journal, handle_signals=False, **common
+        )
+    jobs = 1 if mode == "inline" else 2
+    return parallel_sweep(["FLO52"], jobs=jobs, cache_dir=tmp_path / "cache", **common)
+
+
+@pytest.mark.parametrize("mode", ["inline", "pooled", "journaled", "resumed"])
+def test_pool_matches_serial(mode, reference, serial_outcome, tmp_path):
+    metrics = MetricsRegistry()
+    outcome = _sweep_in_mode(mode, tmp_path, metrics)
+    assert outcome.ok
+    for n_proc in CONFIGS:
+        a = reference.results["FLO52"][n_proc]
+        b = outcome.results["FLO52"][n_proc]
+        assert b.ct_ns == a.ct_ns
+        assert fingerprint_result(b).digest == fingerprint_result(a).digest
+        assert b.schedule_hash == serial_outcome.results["FLO52"][n_proc].schedule_hash
+    assert table1(outcome.results)[1] == table1(reference.results)[1]
+
+    # Cold pass: every missed cell was simulated and stored.
+    simulated = 1 if mode == "resumed" else len(CONFIGS)
+    assert metrics.value("parallel.jobs") == (1 if mode == "inline" else 2)
     assert metrics.value("parallel.cells.total") == len(CONFIGS)
     assert metrics.value("parallel.cells.completed") == len(CONFIGS)
     assert metrics.value("parallel.cells.failed") == 0
-    assert metrics.value("cache.misses") == len(CONFIGS)
-    assert metrics.value("cache.puts") == len(CONFIGS)
+    assert metrics.value("cache.misses") == simulated
+    assert metrics.value("cache.puts") == simulated
     assert metrics.value("parallel.wall_s") > 0
-    assert 0 < metrics.value("parallel.pool.utilization") <= 1
+    if mode != "inline":
+        assert 0 < metrics.value("parallel.pool.utilization") <= 1
+    if mode == "resumed":
+        assert outcome.recovery["cells"]["resumed_from_journal"] == len(CONFIGS) - 1
+        assert metrics.value("cache.corrupt") == 1
 
     # Warm pass: every cell served from cache, nothing simulated.
     warm_metrics = MetricsRegistry()
-    warm = parallel_sweep(
-        ["FLO52"],
-        configs=CONFIGS,
-        scale=SCALE,
-        seed=SEED,
-        jobs=2,
-        cache_dir=tmp_path / "cache",
-        metrics=warm_metrics,
-    )
+    warm = _sweep_in_mode(mode, tmp_path, warm_metrics)
     assert warm.ok
     assert warm_metrics.value("cache.hits") == len(CONFIGS)
     assert warm_metrics.value("cache.puts") == 0
-    assert table1(warm.results)[1] == table1(serial_outcome.results)[1]
+    assert table1(warm.results)[1] == table1(reference.results)[1]
     for n_proc in CONFIGS:
         assert (
             warm.results["FLO52"][n_proc].schedule_hash
             == serial_outcome.results["FLO52"][n_proc].schedule_hash
         )
+
+
+def test_all_hit_run_creates_no_pool_dir_or_handler(
+    serial_outcome, tmp_path, monkeypatch
+):
+    """A pooled, journaled call over a warm cache only reads the cache."""
+    cache = ResultCache(tmp_path / "cache")
+    specs = [
+        CellSpec(app="FLO52", n_processors=p, scale=SCALE, seed=SEED) for p in CONFIGS
+    ]
+    for spec in specs:
+        cache.put(spec.key(), serial_outcome.results["FLO52"][spec.n_processors])
+    journal = CampaignJournal.create(tmp_path / "warm.journal", specs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an all-hit run constructed a process pool")
+
+    made: list = []
+    installed: list = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def recording_mkdtemp(*args, **kwargs):
+        made.append(kwargs.get("prefix"))
+        return real_mkdtemp(*args, **kwargs)
+
+    handler = signal.getsignal(signal.SIGINT)
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    monkeypatch.setattr(signal, "signal", lambda signum, h: installed.append(signum))
+    results, failures = execute_cells(
+        specs, jobs=2, cache=cache, retries=0, journal=journal
+    )
+    monkeypatch.undo()
+    assert failures == [] and set(results) == set(specs)
+    assert made == [] and list(tmp_path.glob("cedar-hb-*")) == []
+    assert installed == [] and signal.getsignal(signal.SIGINT) is handler
+    assert len(load_journal(journal.path).done) == len(specs)
 
 
 def test_resilient_sweep_delegates_to_parallel(serial_outcome, tmp_path):
