@@ -15,6 +15,7 @@ facades the rest of the reproduction uses:
 from __future__ import annotations
 
 from collections.abc import Generator
+from functools import lru_cache
 
 from repro.hardware.cache import ClusterCacheModel
 from repro.hardware.cluster import CE, Cluster
@@ -24,6 +25,15 @@ from repro.hardware.memory import GlobalMemorySystem
 from repro.sim import Simulator
 
 __all__ = ["CedarMachine", "MemoryLedger"]
+
+
+@lru_cache(maxsize=256)
+def _split_words(n_words: int, segments: int) -> tuple[int, ...]:
+    """*n_words* split into *segments* near-equal parts, longest first."""
+    if segments == 0:
+        return ()
+    base, remainder = divmod(n_words, segments)
+    return tuple(base + (1 if index < remainder else 0) for index in range(segments))
 
 
 class MemoryLedger:
@@ -169,11 +179,12 @@ class CedarMachine:
         pressure) and within the caller's own cluster (shared channel
         and stage-0 switch pressure); the CE registers with the load
         tracker for the duration so later bursts see it.  The stream is
-        split into a few segments, each re-priced at the load current
-        when it starts -- otherwise a CE whose process happens to start
-        an instant before its peers would be priced at an artificially
-        low load for its whole burst.  Returns the total duration in
-        nanoseconds.
+        split into a few segments (:meth:`burst_segments`), each
+        re-priced at the load current when it starts -- otherwise a CE
+        whose process happens to start an instant before its peers
+        would be priced at an artificially low load for its whole
+        burst.  Returns the total duration in nanoseconds.  A zero-word
+        burst costs nothing: no delay, no load, no ledger entry.
 
         Load observations are tie-stable (``repro.analyze.race``): the
         first segment waits for the end-of-tick observe slot, so every
@@ -181,55 +192,78 @@ class CedarMachine:
         cohort -- not against however many happened to enter first in
         event-queue order; later segments start at arbitrary instants
         mid-stream and price at the tracker's settled view.
+
+        The runtime's flat fast-path XDOALL frame
+        (:meth:`repro.runtime.library.CedarFortranRuntime._xdoall_ce_flat`)
+        yields this same sequence inline; both price through
+        :meth:`segment_ns` and close through :meth:`close_burst`.
         """
+        segments = self.burst_segments(n_words)
+        if not segments:
+            return 0
         sim = self.sim
         start = sim.now
-        segments = min(self.BURST_SEGMENTS, n_words)
-        base = n_words // segments
-        remainder = n_words - base * segments
         load = self.load
-        # Segment cost memo: loop shapes recur heavily, so the same
-        # (words, load) tuple prices over and over; one dict probe
-        # replaces the contention fixed point *and* the ns conversion.
-        # Invalidated by :meth:`set_memory_degradation` together with
-        # the contention model's own memos.
-        memo = self._burst_ns_memo
+        first_words, *rest_words = segments
         load.enter(rate, cluster_id)
         try:
-            first = True
-            for index in range(segments):
-                words = base + (1 if index < remainder else 0)
-                if words == 0:
-                    continue
-                if first:
-                    first = False
-                    yield sim.tail_event()
-                    requesters = load.active
-                    cluster_requesters = load.active_in_cluster(cluster_id)
-                else:
-                    requesters = load.settled_active
-                    cluster_requesters = load.settled_in_cluster(cluster_id)
-                key = (words, requesters, rate, cluster_requesters)
-                delay = memo.get(key)
-                if delay is None:
-                    cycles = self.contention.vector_time_cycles(
-                        words,
-                        requesters=requesters,
-                        rate=rate,
-                        cluster_requesters=cluster_requesters,
-                    )
-                    delay = self.config.cycles_to_ns(cycles)
-                    memo[key] = delay
-                yield delay
+            yield sim.tail_event()
+            yield self.segment_ns(
+                first_words, load.active, rate, load.active_in_cluster(cluster_id)
+            )
+            for words in rest_words:
+                yield self.segment_ns(
+                    words, load.settled_active, rate, load.settled_in_cluster(cluster_id)
+                )
         finally:
             load.exit(rate, cluster_id)
         elapsed = sim.now - start
+        self.close_burst(cluster_id, n_words, rate, elapsed)
+        return elapsed
+
+    def burst_segments(self, n_words: int) -> tuple[int, ...]:
+        """Word counts of the segments an ``n_words`` burst is priced in.
+
+        At most :attr:`BURST_SEGMENTS` segments, every one non-empty,
+        the first ``n_words % segments`` one word longer; ``()`` for a
+        zero-word burst.
+        """
+        if n_words < 0:
+            raise ValueError(f"n_words must be >= 0, got {n_words}")
+        return _split_words(n_words, min(self.BURST_SEGMENTS, n_words))
+
+    def segment_ns(
+        self, words: int, requesters: int, rate: float, cluster_requesters: int
+    ) -> int:
+        """Duration of one burst segment at the given load, in ns.
+
+        Segment cost memo: loop shapes recur heavily, so the same
+        ``(words, load)`` tuple prices over and over; one dict probe
+        replaces the contention fixed point *and* the ns conversion.
+        Invalidated by :meth:`set_memory_degradation` together with the
+        contention model's own memos.
+        """
+        key = (words, requesters, rate, cluster_requesters)
+        memo = self._burst_ns_memo
+        delay = memo.get(key)
+        if delay is None:
+            cycles = self.contention.vector_time_cycles(
+                words,
+                requesters=requesters,
+                rate=rate,
+                cluster_requesters=cluster_requesters,
+            )
+            delay = self.config.cycles_to_ns(cycles)
+            memo[key] = delay
+        return delay
+
+    def close_burst(self, cluster_id: int, n_words: int, rate: float, elapsed: int) -> None:
+        """Book one finished burst of *elapsed* ns in the memory ledger."""
         ledger = self.mem_ledger
         ledger.busy_ns[cluster_id] += elapsed
         ledger.ideal_ns[cluster_id] += self._cached_ideal_ns(n_words, rate)
         ledger.bursts[cluster_id] += 1
         ledger.words[cluster_id] += n_words
-        return elapsed
 
     def _cached_ideal_ns(self, n_words: int, rate: float) -> int:
         """Memoised :meth:`ideal_burst_ns` (loop shapes recur heavily)."""
@@ -277,16 +311,6 @@ class CedarMachine:
         Uses the same segmentation as :meth:`memory_burst` so the two
         are directly comparable.
         """
-        segments = min(self.BURST_SEGMENTS, n_words)
-        base = n_words // segments
-        remainder = n_words - base * segments
-        total = 0
-        for index in range(segments):
-            words = base + (1 if index < remainder else 0)
-            if words == 0:
-                continue
-            cycles = self.contention.vector_time_cycles(
-                words, requesters=1, rate=rate, cluster_requesters=1
-            )
-            total += self.config.cycles_to_ns(cycles)
-        return total
+        return sum(
+            self.segment_ns(words, 1, rate, 1) for words in self.burst_segments(n_words)
+        )

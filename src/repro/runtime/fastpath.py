@@ -28,10 +28,11 @@ hold prices and identical completion times.  The Hypothesis suite in
 
 :class:`RuntimeFastPath` is the arming seam, mirroring the sticky
 disable discipline :mod:`repro.hardware.fastpath` established: the lean
-paths (and the spawn-fusion sites in :mod:`repro.runtime.library`) run
-only when the environment allows them (:mod:`repro.sim.policy`), no
-trace sink is attached, tie-break perturbation is off, and no fault
-campaign has sticky-disabled the engine.  Every fallback is counted so
+paths (and the spawn-fusion sites and the flat XDOALL frame in
+:mod:`repro.runtime.library`) run only when the environment allows
+them (:mod:`repro.sim.policy`), no trace sink is attached, tie-break
+perturbation is off, and no fault campaign has sticky-disabled the
+engine.  Every fallback is counted so
 run reports show which paths actually served a run.
 """
 
@@ -56,8 +57,9 @@ class RuntimeFastPathStats:
     exact_pickups: int = 0
     lean_barrier_detaches: int = 0
     exact_barrier_detaches: int = 0
-    #: Child generators inlined (``yield from``) instead of spawned as
-    #: processes: memory bursts, execute slices, page-touch sweeps.
+    #: Child steps run inline instead of spawned as processes: memory
+    #: bursts, execute slices, page touches and sweeps, whether
+    #: delegated with ``yield from`` or yielded by a flat frame.
     fused_spawns: int = 0
     #: Operations routed exact because the engine was disarmed (sink,
     #: perturbation, policy, or a fault campaign's sticky disable).
@@ -110,14 +112,23 @@ class LeanLock:
         Returns the hold that was charged (the exact path's holder
         computes the same value after its grant).
         """
+        hold = yield self.enqueue(key, price)
+        return hold
+
+    def enqueue(self, key: int, price: Callable[[int], int]) -> Event:
+        """Queue a waiter; returns the event :meth:`serve` waits on.
+
+        The event fires, with the charged hold as its value, once the
+        waiter has been granted, held and released.  Flat callers yield
+        it directly instead of delegating to :meth:`serve`.
+        """
         sim = self.sim
         done = Event(sim)
         self._waiting.append((sim.now, key, price, done))
         if not self._arb_armed and not self._busy:
             self._arb_armed = True
             sim.call_at_tail(self._arbitrate)
-        hold = yield done
-        return hold
+        return done
 
     def _arbitrate(self, _event: Event) -> None:
         """End-of-tick grant commit (same band as ``ArbitratedResource``)."""

@@ -642,9 +642,15 @@ class CedarFortranRuntime:
         sim = self.sim
         cluster = self.machine.clusters[task.cluster_id]
         yield cluster.ccbus.dispatch_ns()
+        # The CE body is picked once, here: the flat frame needs lean
+        # pickups, so a pickup deadline keeps the exact body too.
+        if self.fastpath.on and self.params.pickup_deadline_ns is None:
+            body = self._xdoall_ce_flat
+        else:
+            body = self._xdoall_ce
         workers = [
             sim.process(
-                self._xdoall_ce(task, state, ce.ce_id),
+                body(task, state, ce.ce_id),
                 name=f"xdoall-ce{ce.ce_id}",
             )
             for ce in cluster.ces
@@ -674,32 +680,22 @@ class CedarFortranRuntime:
             # per cluster (Table 3).
             self._record(EventType.PICKUP_ENTER, ce_id, task, payload=payload)
             fp = self.fastpath
-            if fp.on and self.params.pickup_deadline_ns is None:
-                # Lean pickup: the post-grant queue length the inflation
-                # term needs is known at the lean lock's grant commit,
-                # so the whole request/grant/hold/release exchange
-                # collapses to one completion event.
-                fp.stats.lean_pickups += 1
-                yield from self._lean_iter.serve(ce_id, self._xdoall_hold_ns)
-                index = state.take_iteration()
+            fp.stats.exact_pickups += 1
+            if fp.on:
+                fp.stats.fallback_shape += 1
             else:
-                fp.stats.exact_pickups += 1
-                if fp.on:
-                    fp.stats.fallback_shape += 1
-                else:
-                    fp.stats.fallback_disarmed += 1
-                request = self._iter_lock.request(key=ce_id)
-                yield from self._await_pickup(request, self._iter_lock, state, "xdoall")
-                hold_ns = self._round_trips_ns(self.params.pickup_round_trips)
-                hold_ns += self._cycles_ns(self.params.pickup_overhead_cycles)
-                # CEs spinning for the lock keep hammering its module
-                # with test&set reads, slowing the holder's RMW down
-                # (hot spot).
-                waiting = self._iter_lock.queue_length
-                hold_ns = int(hold_ns * (1.0 + self.params.pickup_retry_factor * waiting))
-                yield hold_ns
-                index = state.take_iteration()
-                self._iter_lock.release(request)
+                fp.stats.fallback_disarmed += 1
+            request = self._iter_lock.request(key=ce_id)
+            yield from self._await_pickup(request, self._iter_lock, state, "xdoall")
+            hold_ns = self._round_trips_ns(self.params.pickup_round_trips)
+            hold_ns += self._cycles_ns(self.params.pickup_overhead_cycles)
+            # CEs spinning for the lock keep hammering its module with
+            # test&set reads, slowing the holder's RMW down (hot spot).
+            waiting = self._iter_lock.queue_length
+            hold_ns = int(hold_ns * (1.0 + self.params.pickup_retry_factor * waiting))
+            yield hold_ns
+            index = state.take_iteration()
+            self._iter_lock.release(request)
             self.stats.xdoall_pickups += 1
             self._record(EventType.PICKUP_EXIT, ce_id, task, payload=payload)
             if index is None:
@@ -729,3 +725,124 @@ class CedarFortranRuntime:
                 yield from self._run_child(self.kernel.execute(task.cluster_id, work_ns))
             self._record(EventType.ITER_END, ce_id, task, payload=payload)
             self._set_idle(ce_id, task)
+
+    def _xdoall_ce_flat(self, task: ClusterTask, state: _LoopState, ce_id: int) -> Generator:
+        """Fast-path :meth:`_xdoall_ce`: one flat frame per CE.
+
+        Picked by :meth:`_participate_xdoall` when the runtime fast path
+        is armed and no pickup deadline is set.  The frame yields the
+        lean pickup's completion event, the page touch, the cache stall,
+        the memory burst's observe-slot wait and priced segments, and
+        the compute slice with its freeze padding itself, instead of
+        resuming through ``_run_child`` into a ``memory_burst`` or
+        ``execute`` generator and allocating two child generators per
+        iteration.  Events, their times and order, ``RuntimeStats`` and
+        the fast-path counters are those of a lean pickup followed by
+        the fused ``memory_burst`` and ``execute`` children.  Segments,
+        their prices and the ledger close come from
+        :meth:`CedarMachine.burst_segments`,
+        :meth:`CedarMachine.segment_ns` and
+        :meth:`CedarMachine.close_burst`; the burst and padding blocks
+        below mirror ``memory_burst`` and ``XylemKernel.execute``, so a
+        change to either must be made here too.  Only a cold page runs
+        a child (``VirtualMemory.touch``).
+        """
+        sim = self.sim
+        loop = state.loop
+        seq = state.seq
+        cluster_id = task.cluster_id
+        payload = (seq, loop.construct.value, loop.label, 1)
+        kernel = self.kernel
+        ce_available = kernel.ce_available
+        vm = kernel.vm
+        cluster_state = kernel.clusters[cluster_id]
+        machine = self.machine
+        load = machine.load
+        segment_ns = machine.segment_ns
+        hpm = self.hpm
+        record = hpm.record if hpm is not None else None
+        board = self.board
+        set_active = board.set_active if board is not None else None
+        set_idle = None
+        if board is not None and ce_id != self._lead_ce(task):
+            set_idle = board.set_idle
+        fp_stats = self.fastpath.stats
+        rt_stats = self.stats
+        enqueue = self._lean_iter.enqueue
+        hold_price = self._xdoall_hold_ns
+        take_iteration = state.take_iteration
+        paged = loop.page_base >= 0
+        ws_bytes = loop.cluster_ws_bytes
+        iter_bytes = ws_bytes // loop.n_inner
+        n_words = loop.mem_words_per_iter
+        rate = loop.mem_rate
+        if n_words > 0:
+            first_words, *rest_words = machine.burst_segments(n_words)
+        work_per_iter = loop.work_ns_per_iter
+        work_multiplier = loop.work_multiplier
+        while ce_available(ce_id):
+            # Lean test&set pickup: the post-grant queue length the
+            # inflation term needs is known at the lean lock's grant
+            # commit, so the whole request/grant/hold/release exchange
+            # of _xdoall_ce collapses to one completion event.
+            if record is not None:
+                record(EventType.PICKUP_ENTER, ce_id, cluster_id, payload)
+            fp_stats.lean_pickups += 1
+            yield enqueue(ce_id, hold_price)
+            index = take_iteration()
+            rt_stats.xdoall_pickups += 1
+            if record is not None:
+                record(EventType.PICKUP_EXIT, ce_id, cluster_id, payload)
+            if index is None:
+                break
+            if paged:
+                fp_stats.fused_spawns += 1
+                page = loop.page_for_iteration(0, index)
+                if not vm.is_resident(page):
+                    yield from vm.touch(cluster_id, page)
+            stall_ns = machine.cache_stall_ns(cluster_id, iter_bytes, ws_bytes)
+            if stall_ns > 0:
+                yield stall_ns
+            if set_active is not None:
+                set_active(ce_id)
+            if record is not None:
+                record(EventType.ITER_START, ce_id, cluster_id, payload)
+            if n_words > 0:
+                # Memory burst (CedarMachine.memory_burst, inline).
+                fp_stats.fused_spawns += 1
+                start = sim.now
+                load.enter(rate, cluster_id)
+                try:
+                    yield sim.tail_event()
+                    yield segment_ns(
+                        first_words, load.active, rate, load.active_in_cluster(cluster_id)
+                    )
+                    for seg_words in rest_words:
+                        yield segment_ns(
+                            seg_words,
+                            load.settled_active,
+                            rate,
+                            load.settled_in_cluster(cluster_id),
+                        )
+                finally:
+                    load.exit(rate, cluster_id)
+                machine.close_burst(cluster_id, n_words, rate, sim.now - start)
+            if work_per_iter > 0:
+                # Compute slice (XylemKernel.execute, inline).
+                fp_stats.fused_spawns += 1
+                work_ns = int(work_per_iter * work_multiplier(index, salt=seq))
+                frozen_before = cluster_state.frozen_cum_ns()
+                if cluster_state.frozen:
+                    yield cluster_state.runnable.wait()
+                    frozen_before = cluster_state.frozen_cum_ns()
+                yield work_ns
+                padded = 0
+                extra = cluster_state.unpaid_freeze_ns(frozen_before, padded)
+                while extra > 0:
+                    padded += extra
+                    yield extra
+                    extra = cluster_state.unpaid_freeze_ns(frozen_before, padded)
+            if record is not None:
+                record(EventType.ITER_END, ce_id, cluster_id, payload)
+            if set_idle is not None:
+                set_idle(ce_id)

@@ -95,6 +95,17 @@ class ClusterState:
             total += self.sim.now - self._frozen_since
         return total
 
+    def unpaid_freeze_ns(self, frozen_before: int, padded: int) -> int:
+        """Freeze time a running compute slice still has to repay.
+
+        *frozen_before* is :meth:`frozen_cum_ns` when the slice started
+        and *padded* the padding it has already yielded: the cluster's
+        frozen time since the start, minus that padding.  Zero or less
+        means the slice is done.  Shared by :meth:`XylemKernel.execute`
+        and the runtime's flat fast-path XDOALL frame.
+        """
+        return self.frozen_cum_ns() - frozen_before - padded
+
 
 class XylemKernel:
     """The modelled operating system of one Cedar machine."""
@@ -439,6 +450,12 @@ class XylemKernel:
         The work is stretched by any time the cluster spends frozen for
         OS service while it runs, so OS overhead shows up in wall-clock
         completion time exactly once.  Returns the elapsed wall time.
+
+        The runtime's flat fast-path XDOALL frame
+        (:meth:`repro.runtime.library.CedarFortranRuntime._xdoall_ce_flat`)
+        yields this body inline: a change to the freeze rule here must
+        be made there too (``tests/runtime/test_fastpath_equivalence.py``
+        compares the two under a freeze).
         """
         if work_ns < 0:
             raise ValueError(f"work_ns must be >= 0, got {work_ns}")
@@ -451,10 +468,9 @@ class XylemKernel:
             frozen_before = state.frozen_cum_ns()
         yield work_ns
         while True:
-            stolen = state.frozen_cum_ns() - frozen_before
-            if stolen <= padded:
+            extra = state.unpaid_freeze_ns(frozen_before, padded)
+            if extra <= 0:
                 break
-            extra = stolen - padded
-            padded = stolen
+            padded += extra
             yield extra
         return self.sim.now - start

@@ -91,6 +91,45 @@ def test_ideal_burst_matches_single_requester():
     assert sim.now == machine.ideal_burst_ns(128, 0.5)
 
 
+@pytest.mark.parametrize("n_words", [1, 2, 3, 5, 9])
+def test_short_bursts_match_ideal(n_words):
+    # Fewer words than BURST_SEGMENTS, or a ragged last split.
+    sim, machine = make_machine(32)
+    proc = sim.process(machine.memory_burst(n_words=n_words, rate=0.5))
+    sim.run(until=proc)
+    assert sim.now == proc.value == machine.ideal_burst_ns(n_words, 0.5)
+    assert sum(machine.burst_segments(n_words)) == n_words
+    assert len(machine.burst_segments(n_words)) == min(machine.BURST_SEGMENTS, n_words)
+
+
+def test_zero_word_burst_costs_nothing():
+    sim, machine = make_machine(32)
+    proc = sim.process(machine.memory_burst(n_words=0, rate=0.5, cluster_id=2))
+    sim.run(until=proc)
+    assert proc.value == 0
+    assert sim.now == 0
+    assert machine.load.active == 0
+    assert machine.load.high_water == 0
+    ledger = machine.mem_ledger
+    assert ledger.bursts == [0, 0, 0, 0]
+    assert ledger.words == [0, 0, 0, 0]
+    assert ledger.busy_ns == [0, 0, 0, 0]
+    assert ledger.ideal_ns == [0, 0, 0, 0]
+    assert machine.ideal_burst_ns(0, 0.5) == 0
+    assert machine.burst_segments(0) == ()
+
+
+def test_negative_burst_rejected():
+    _, machine = make_machine(8)
+    with pytest.raises(ValueError):
+        next(machine.memory_burst(n_words=-1, rate=0.5))
+    with pytest.raises(ValueError):
+        machine.ideal_burst_ns(-4, 0.5)
+    with pytest.raises(ValueError):
+        machine.burst_segments(-2)
+    assert machine.load.active == 0
+
+
 def test_global_round_trip_grows_with_load():
     sim, machine = make_machine(32)
     quiet = machine.global_round_trip_ns()

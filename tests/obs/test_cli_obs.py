@@ -132,6 +132,8 @@ def test_stats_surfaces_parallel_and_cache_counters(tmp_path, capsys):
             "2",
             "--cache-dir",
             str(cache_dir),
+            "-o",
+            str(tmp_path / "stats.json"),
         ]
     )
     out = capsys.readouterr().out
@@ -152,6 +154,8 @@ def test_stats_surfaces_parallel_and_cache_counters(tmp_path, capsys):
             "2",
             "--cache-dir",
             str(cache_dir),
+            "-o",
+            str(tmp_path / "stats.json"),
         ]
     )
     out = capsys.readouterr().out

@@ -17,16 +17,20 @@ forced exact via ``CEDAR_REPRO_FASTPATH=off`` -- and compares.
 from __future__ import annotations
 
 import os
+import sys
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.runner import run_phases
+from repro.hardware.config import paper_configuration
 from repro.runtime.loops import LoopConstruct, ParallelLoop, SerialPhase
 from repro.sim import Simulator
 from repro.sim import core as sim_core
 from repro.xylem.categories import OsActivity
+from repro.xylem.kernel import ClusterState
 
 # -- workload strategies ----------------------------------------------------
 
@@ -49,6 +53,15 @@ def _loop(construct: LoopConstruct, **overrides):
         n_inner=st.integers(min_value=1, max_value=24),
         work_ns_per_iter=st.integers(min_value=50, max_value=5_000),
         work_skew=st.sampled_from([0.0, 0.2]),
+        # No burst, bursts of fewer words than CedarMachine.BURST_SEGMENTS
+        # (fewer segments), and full four-segment bursts.
+        mem_words_per_iter=st.one_of(
+            st.just(0),
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=4, max_value=64),
+        ),
+        mem_rate=st.sampled_from([0.25, 0.5, 1.0]),
+        cluster_ws_bytes=st.sampled_from([0, 96 * 1024, 2 * 1024 * 1024]),
     )
     defaults.update(overrides)
     return st.builds(ParallelLoop, construct=st.just(construct), **defaults)
@@ -85,13 +98,20 @@ _phase_lists = st.lists(
 # -- the A/B harness --------------------------------------------------------
 
 
-def _run(phases, n_processors: int, exact: bool):
-    """One full-stack run; *exact* kills every fast path via the env."""
+def _run(phases, n_processors: int, exact: bool, cluster_cache: bool = False, **kwargs):
+    """One full-stack run; *exact* kills every fast path via the env.
+
+    *cluster_cache* turns on the optional cluster cache/TLB stall model,
+    so loops' ``cluster_ws_bytes`` price real stalls.
+    """
+    config = replace(paper_configuration(n_processors), model_cluster_cache=cluster_cache)
     env = {"CEDAR_REPRO_FASTPATH": "off"} if exact else {}
     with mock.patch.dict(os.environ, env, clear=False):
         if not exact:
             os.environ.pop("CEDAR_REPRO_FASTPATH", None)
-        return run_phases(list(phases), n_processors, statfx_interval_ns=50_000)
+        return run_phases(
+            list(phases), n_processors, config=config, statfx_interval_ns=50_000, **kwargs
+        )
 
 
 def _fingerprint(result) -> dict:
@@ -99,9 +119,23 @@ def _fingerprint(result) -> dict:
     st_ = result.runtime.stats
     sfx = result.statfx
     acct = result.accounting
+    ledger = result.machine.mem_ledger
+    load = result.machine.load
     n_clusters = result.config.n_clusters
     return {
         "ct_ns": result.ct_ns,
+        "memory": {
+            name: getattr(ledger, name)
+            for name in (
+                "busy_ns",
+                "ideal_ns",
+                "bursts",
+                "words",
+                "scalar_round_trips",
+                "scalar_round_trip_ns",
+            )
+        },
+        "load_high_water": (load.high_water, list(load.cluster_high_water)),
         "runtime": {
             name: getattr(st_, name)
             for name in (
@@ -137,10 +171,14 @@ def _fingerprint(result) -> dict:
 
 
 @settings(max_examples=40, deadline=None)
-@given(phases=_phase_lists, n_processors=st.sampled_from([8, 32]))
-def test_batched_matches_exact(phases, n_processors):
-    fast = _run(phases, n_processors, exact=False)
-    slow = _run(phases, n_processors, exact=True)
+@given(
+    phases=_phase_lists,
+    n_processors=st.sampled_from([1, 4, 8, 32]),
+    cluster_cache=st.booleans(),
+)
+def test_batched_matches_exact(phases, n_processors, cluster_cache):
+    fast = _run(phases, n_processors, exact=False, cluster_cache=cluster_cache)
+    slow = _run(phases, n_processors, exact=True, cluster_cache=cluster_cache)
     assert fast.fastpath_modes["runtime"] == "batched"
     assert fast.fastpath_modes["statfx"] == "push"
     assert slow.fastpath_modes["runtime"] == "exact"
@@ -166,6 +204,58 @@ def test_compiled_loop_matches_pure(phases):
     # The Timeout pool behaves identically too.
     for key in ("pool.timeouts_created", "pool.timeouts_reused", "pool.ticks_rearmed"):
         assert compiled.kernel_stats[key] == pure.kernel_stats[key]
+
+
+# -- freeze padding ---------------------------------------------------------
+
+
+def _freeze_thaw_hook(cluster_id: int, at_ns: int, hold_ns: int):
+    """A pre-run hook that freezes one cluster mid-run, then thaws it."""
+
+    def hook(sim, machine, kernel, runtime):
+        def freezer(sim):
+            yield sim.timeout(at_ns)
+            kernel.clusters[cluster_id].freeze()
+            yield sim.timeout(hold_ns)
+            kernel.clusters[cluster_id].unfreeze()
+
+        sim.process(freezer(sim), name="freeze-thaw")
+
+    return hook
+
+
+def test_freeze_inside_xdoall_slices_pads_like_exact(monkeypatch):
+    """A freeze landing while CEs are inside XDOALL compute slices
+    stretches them identically on the flat fast-path frame and on the
+    exact path's ``XylemKernel.execute``."""
+    repaid_by: list[str] = []
+    unpaid = ClusterState.unpaid_freeze_ns
+
+    def spy(self, frozen_before, padded):
+        owed = unpaid(self, frozen_before, padded)
+        if owed > 0:
+            repaid_by.append(sys._getframe(1).f_code.co_name)
+        return owed
+
+    monkeypatch.setattr(ClusterState, "unpaid_freeze_ns", spy)
+    phases = [
+        ParallelLoop(
+            construct=LoopConstruct.XDOALL,
+            n_inner=64,
+            work_ns_per_iter=40_000,
+            mem_words_per_iter=16,
+        )
+    ]
+    # The loop's iterations run from ~37 us to ~1 ms on 8 CEs.
+    hook = _freeze_thaw_hook(0, at_ns=300_000, hold_ns=50_000)
+    fast = _run(phases, 8, exact=False, pre_run_hook=hook)
+    fast_repaid = list(repaid_by)
+    repaid_by.clear()
+    slow = _run(phases, 8, exact=True, pre_run_hook=hook)
+    assert fast.fastpath_modes["runtime"] == "batched"
+    assert "_xdoall_ce_flat" in fast_repaid
+    assert "execute" in repaid_by and "_xdoall_ce_flat" not in repaid_by
+    assert _fingerprint(fast) == _fingerprint(slow)
 
 
 # -- fallback arming --------------------------------------------------------
